@@ -36,6 +36,7 @@ from ..codecs.metadata import (
 )
 from ..codecs.pool import CompressionLibraryPool
 from ..errors import (
+    CapacityError,
     CodecError,
     CorruptDataError,
     DeadlineExceededError,
@@ -76,6 +77,22 @@ class CatalogEntry(NamedTuple):
     codec: str
     crc32: int | None  # checksum of the stored blob (None: accounting-only)
     digest: int | None = None  # content digest of the uncompressed bytes
+
+
+def next_generation(task_id: str, entries) -> int:
+    """Generation for a task's next relocation keys (``task/gG/i``).
+
+    Parsed from the live keys, not counted in engine state, so it stays
+    deterministic across restores and never collides with ``task/N``.
+    """
+    generation = 0
+    prefix = f"{task_id}/g"
+    for entry in entries:
+        if entry.key.startswith(prefix):
+            tail = entry.key[len(prefix):].split("/", 1)[0]
+            if tail.isdigit():
+                generation = max(generation, int(tail))
+    return generation + 1
 
 
 class _PreparedPiece(NamedTuple):
@@ -1119,30 +1136,60 @@ class CompressionManager:
         except KeyError:
             raise TierError(f"unknown task {task_id!r}") from None
 
-    def replace_task_entries(
-        self, task_id: str, entries,
-        crash_site: str = "lifecycle.post_journal",
-    ) -> None:
-        """Re-point a task at new piece entries (migration or scrub repair).
+    def relocate(
+        self, task_id: str, moves, site: str
+    ) -> list[CatalogEntry] | None:
+        """Move pieces of a task to new extents: the one relocation primitive.
 
-        The caller has already placed the new extents; this applies the
-        write path's WAL discipline to the re-point: the journal's
-        idempotent ``commit`` record — carrying the *full* new entry
-        list — is durable before the in-memory catalog mutates, so a
-        replay lands on the new placement and a crash before the sync
-        keeps the old one. Either way the old keys (after) or the new
-        keys (before) are orphans the recovery sweep reclaims.
-        ``crash_site`` names the swept post-journal crash window of the
-        calling subsystem (lifecycle migration or scrub repair).
+        ``moves`` yields ``(index, tier, payload, accounted, codec, crc32)``
+        per piece and is consumed lazily, so callers can read, verify and
+        re-encode each piece just before it is placed. Content never
+        changes: length and digest ride along. Steps, each followed by its
+        ``{site}.post_copy`` / ``post_journal`` / ``post_evict`` crash site:
+
+        1. copy each piece under a fresh ``task/gG/i`` key; a
+           ``TierError``, ``CapacityError`` or ``CorruptDataError`` evicts
+           what was placed and returns ``None``;
+        2. journal the full re-pointed entry list and **sync**: no old copy
+           is freed before the record unreferencing it is durable;
+        3. re-point the catalog and evict each old key from every tier.
+
+        Returns the new entry list, or ``None`` when rolled back.
         """
-        if task_id not in self._catalog:
-            raise TierError(f"unknown task {task_id!r}")
-        entries = [CatalogEntry(*entry) for entry in entries]
+        entries = self.task_entries(task_id)
+        generation = next_generation(task_id, entries)
+        new_entries = list(entries)
+        placed = []
+        try:
+            for index, tier, payload, accounted, codec, crc32 in moves:
+                key = f"{task_id}/g{generation}/{index}"
+                tier.put(key, payload, accounted_size=accounted)
+                placed.append((tier, key))
+                old = entries[index]
+                new_entries[index] = CatalogEntry(
+                    key, old.length, codec, crc32, old.digest
+                )
+        except (TierError, CapacityError, CorruptDataError):
+            for tier, key in placed:
+                tier.evict(key)
+            return None
+        crashpoints = self.crashpoints
+        if crashpoints is not None:
+            crashpoints.reached(f"{site}.post_copy")
         if self.journal is not None:
-            self.journal.commit("commit", task_id, tuple(entries))
-        if self.crashpoints is not None:
-            self.crashpoints.reached(crash_site)
-        self._catalog[task_id] = entries
+            self.journal.commit("commit", task_id, tuple(new_entries))
+            self.journal.sync()
+        if crashpoints is not None:
+            crashpoints.reached(f"{site}.post_journal")
+        self._catalog[task_id] = new_entries
+        for old, new in zip(entries, new_entries):
+            if old.key != new.key:
+                for holder in self.shi.hierarchy:
+                    if old.key in holder:
+                        holder.evict(old.key)
+        if crashpoints is not None:
+            crashpoints.reached(f"{site}.post_evict")
+        return new_entries
 
     def _fetch_blob(self, entry: CatalogEntry) -> bytes:
         """Read one piece's blob through the SHI, verifying its checksum.
@@ -1513,15 +1560,16 @@ class CompressionManager:
     def evict_task(self, task_id: str) -> int:
         """Remove every piece of a task; returns released accounted bytes.
 
-        Journaled before any tier frees: a crash mid-evict recovers with
-        the task gone from the catalog, and recovery's orphan sweep frees
-        whatever pieces the crash left on the tiers.
+        Journaled and synced before any tier frees: a crash mid-evict
+        recovers with the task gone from the catalog, and recovery's
+        orphan sweep frees whatever pieces the crash left on the tiers.
         """
         keys = self.task_keys(task_id)
         if self.crashpoints is not None:
             self.crashpoints.reached("manager.evict.pre_journal")
         if self.journal is not None:
             self.journal.commit("evict", task_id)
+            self.journal.sync()
         if self.crashpoints is not None:
             self.crashpoints.reached("manager.evict.post_journal")
         released = 0

@@ -8,24 +8,13 @@ against the :class:`~repro.lifecycle.cost.TierCostModel` objective, and
 migrates the biggest savers — hot blobs up, re-encoded with a fast codec;
 cold blobs down, re-encoded with a heavy one.
 
-Migrations ride the engine's existing durability machinery
-(docs/LIFECYCLE.md has the full crash argument):
-
-1. **copy** — every piece is re-encoded and placed on the destination
-   tier under a *new* key (``task/gN/i``), while the catalog and journal
-   still reference the old keys. A crash here strands the new copies as
-   orphans, which recovery's sweep reclaims; the blob stays readable at
-   the source.
-2. **journal** — one idempotent ``commit`` record re-points the task at
-   the new entries, durable *before* the in-memory catalog mutates (the
-   same WAL discipline as writes). A crash after the sync replays the new
-   placement and strands the *old* keys as orphans instead.
-3. **evict** — the old extents are released. A crash mid-loop leaves the
-   remainder as orphans; either way exactly one readable copy survives.
-
-Four crash sites (``lifecycle.pre_copy`` / ``post_copy`` /
-``post_journal`` / ``post_evict``) pin those windows for the
-``sweep_crash_sites`` harness.
+Migrations go through the manager's one relocation primitive,
+:meth:`~repro.core.manager.CompressionManager.relocate` (copy under a
+generation key, journal + sync barrier, evict); the daemon supplies only
+the policy — which blob, which tier, which codec. ``lifecycle.pre_copy``
+fires here and ``relocate`` fires the ``lifecycle.post_copy`` /
+``post_journal`` / ``post_evict`` sites (docs/LIFECYCLE.md has the crash
+argument).
 
 The daemon is strictly cooperative: it runs only when :meth:`step` is
 called, self-rate-limits to ``scan_interval``, caps migrations per step,
@@ -42,7 +31,7 @@ import zlib
 from dataclasses import dataclass, field
 
 from ..codecs.metadata import HEADER_SIZE, unwrap_payload, wrap_payload
-from ..errors import CapacityError, CorruptDataError, TierError
+from ..errors import CorruptDataError, TierError
 from ..hashing import content_hash64
 from .config import LifecycleConfig
 from .cost import TierCostModel
@@ -109,8 +98,7 @@ class LifecycleDaemon:
     ``None`` and stay byte-identical. The daemon only reads the engine's
     public surfaces (catalog helpers, hierarchy, pool, journal via the
     manager, QoS governor read-only) and mutates placement exclusively
-    through the manager's WAL-disciplined
-    :meth:`~repro.core.manager.CompressionManager.replace_task_entries`.
+    through :meth:`~repro.core.manager.CompressionManager.relocate`.
     """
 
     def __init__(self, engine, config: LifecycleConfig) -> None:
@@ -345,113 +333,30 @@ class LifecycleDaemon:
     # -- migration executor ---------------------------------------------------
 
     def _migrate(self, plan: Migration) -> Migration | None:
-        """Execute one migration under the crash discipline above.
+        """Execute one migration through the manager's ``relocate``.
 
         Returns the realized migration (actual bytes/seconds), or ``None``
-        when the move lost a race (capacity changed, piece vanished) — the
-        copy phase rolls itself back and the blob stays where it was.
-        ``SimulatedCrashError`` deliberately propagates: it models process
-        death, and the recovery sweeps must clean up whatever it strands.
+        when the move lost a race (capacity changed, piece vanished,
+        corruption found) — ``relocate`` rolls the copies back and the
+        blob stays where it was. ``SimulatedCrashError`` deliberately
+        propagates: it models process death, and the recovery sweeps must
+        clean up whatever it strands.
         """
-        # Imported here, not at module scope: core.config carries a
-        # LifecycleConfig field, so a top-level import would be circular.
-        from ..core.manager import CatalogEntry
-
         engine = self.engine
-        manager = engine.manager
-        hierarchy = engine.hierarchy
-        crashpoints = engine.crashpoints
         try:
-            entries = manager.task_entries(plan.task_id)
+            entries = engine.manager.task_entries(plan.task_id)
         except TierError:
             return None
-        dst = hierarchy.by_name(plan.dst_tier)
-        generation = self._next_generation(plan.task_id, entries)
-
-        if crashpoints is not None:
-            crashpoints.reached("lifecycle.pre_copy")
-        placed: list[str] = []
-        new_entries: list[CatalogEntry] = []
-        sources = []
-        seconds = 0.0
-        moved = 0
-        try:
-            for index, entry in enumerate(entries):
-                src = hierarchy.find(entry.key)
-                if src is None:
-                    raise TierError(f"piece {entry.key!r} lost from every tier")
-                sources.append(src)
-                extent = src.extent(entry.key)
-                new_key = f"{plan.task_id}/g{generation}/{index}"
-                if extent.has_payload:
-                    blob = src.get(entry.key)
-                    if entry.crc32 is not None and zlib.crc32(blob) != entry.crc32:
-                        raise CorruptDataError(
-                            f"piece {entry.key!r} failed checksum validation "
-                            "during migration"
-                        )
-                    data, header = unwrap_payload(blob)
-                    if (
-                        entry.digest is not None
-                        and content_hash64(data) != entry.digest
-                    ):
-                        raise CorruptDataError(
-                            f"piece {entry.key!r} failed content-digest "
-                            "validation during migration"
-                        )
-                    new_blob, _ = wrap_payload(
-                        data,
-                        start_offset=header.start_offset,
-                        codec_name=plan.new_codec,
-                    )
-                    accounted = len(new_blob)
-                    crc = (
-                        zlib.crc32(new_blob)
-                        if entry.crc32 is not None
-                        else None
-                    )
-                    payload: bytes | None = new_blob
-                else:
-                    # Modeled piece (no payload to transcode): re-size by
-                    # the same relative-ratio estimate the scan used.
-                    accounted = self._estimate_stored(
-                        [entry], extent.accounted_size,
-                        entry.codec, plan.new_codec,
-                    )
-                    payload = None
-                    crc = None
-                seconds += src.io_seconds(extent.accounted_size)
-                seconds += dst.io_seconds(accounted)
-                dst.put(new_key, payload, accounted_size=accounted)
-                placed.append(new_key)
-                moved += accounted
-                new_entries.append(
-                    # The re-encode changes the stored bytes (codec, CRC)
-                    # but never the content — the end-to-end digest rides
-                    # along unchanged.
-                    CatalogEntry(
-                        new_key, entry.length, plan.new_codec, crc,
-                        entry.digest,
-                    )
-                )
-        except (TierError, CapacityError, CorruptDataError):
-            # Lost a race (the scan's fits() estimate went stale, a tier
-            # flapped, a piece moved) or hit corruption: roll the
-            # half-copied migration back; the blob stays where it was.
-            for key in placed:
-                dst.evict(key)
+        if engine.crashpoints is not None:
+            engine.crashpoints.reached("lifecycle.pre_copy")
+        totals = [0.0, 0]  # modeled seconds, accounted bytes moved
+        moved = engine.manager.relocate(
+            plan.task_id,
+            self._transcode(entries, plan, totals),
+            "lifecycle",
+        )
+        if moved is None:
             return None
-        if crashpoints is not None:
-            crashpoints.reached("lifecycle.post_copy")
-
-        # WAL discipline: the journal re-points the task before the
-        # in-memory catalog does (lifecycle.post_journal fires between).
-        manager.replace_task_entries(plan.task_id, new_entries)
-
-        for entry, src in zip(entries, sources):
-            src.evict(entry.key)
-        if crashpoints is not None:
-            crashpoints.reached("lifecycle.post_evict")
         return Migration(
             task_id=plan.task_id,
             src_tier=plan.src_tier,
@@ -459,29 +364,57 @@ class LifecycleDaemon:
             old_codec=plan.old_codec,
             new_codec=plan.new_codec,
             direction=plan.direction,
-            bytes_moved=moved,
-            modeled_seconds=seconds,
+            bytes_moved=totals[1],
+            modeled_seconds=totals[0],
             saving_rate=plan.saving_rate,
         )
 
-    @staticmethod
-    def _next_generation(task_id: str, entries: list[CatalogEntry]) -> int:
-        """Migration generation for fresh piece keys.
-
-        Keys must never collide with live extents: originals are
-        ``task/N``, generation ``g`` rewrites are ``task/gG/N``. Parsing
-        the current keys (instead of counting in daemon state) keeps the
-        scheme deterministic across restores, where recovery has already
-        swept every non-catalog key off the tiers.
-        """
-        generation = 0
-        prefix = f"{task_id}/g"
-        for entry in entries:
-            if entry.key.startswith(prefix):
-                tail = entry.key[len(prefix):].split("/", 1)[0]
-                if tail.isdigit():
-                    generation = max(generation, int(tail))
-        return generation + 1
+    def _transcode(self, entries, plan: Migration, totals: list):
+        """Yield each piece re-encoded for ``plan.dst_tier`` as a
+        ``relocate`` move, verifying it on the way; accumulates the
+        modeled seconds and accounted bytes into ``totals``."""
+        hierarchy = self.engine.hierarchy
+        dst = hierarchy.by_name(plan.dst_tier)
+        for index, entry in enumerate(entries):
+            src = hierarchy.find(entry.key)
+            if src is None:
+                raise TierError(f"piece {entry.key!r} lost from every tier")
+            extent = src.extent(entry.key)
+            if extent.has_payload:
+                blob = src.get(entry.key)
+                if entry.crc32 is not None and zlib.crc32(blob) != entry.crc32:
+                    raise CorruptDataError(
+                        f"piece {entry.key!r} failed checksum validation "
+                        "during migration"
+                    )
+                data, header = unwrap_payload(blob)
+                if (
+                    entry.digest is not None
+                    and content_hash64(data) != entry.digest
+                ):
+                    raise CorruptDataError(
+                        f"piece {entry.key!r} failed content-digest "
+                        "validation during migration"
+                    )
+                payload, _ = wrap_payload(
+                    data,
+                    start_offset=header.start_offset,
+                    codec_name=plan.new_codec,
+                )
+                accounted = len(payload)
+                crc = zlib.crc32(payload) if entry.crc32 is not None else None
+            else:
+                # Modeled piece (no payload to transcode): re-size by the
+                # same relative-ratio estimate the scan used.
+                accounted = self._estimate_stored(
+                    [entry], extent.accounted_size, entry.codec, plan.new_codec
+                )
+                payload = None
+                crc = None
+            totals[0] += src.io_seconds(extent.accounted_size)
+            totals[0] += dst.io_seconds(accounted)
+            totals[1] += accounted
+            yield index, dst, payload, accounted, plan.new_codec, crc
 
     # -- status ---------------------------------------------------------------
 

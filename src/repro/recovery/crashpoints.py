@@ -35,7 +35,7 @@ CRASH_SITES = (
     "manager.write.pre_journal",   # all pieces placed, journal not written
     "manager.write.post_journal",  # journal durable, before in-memory catalog
     "manager.evict.pre_journal",   # evict requested, nothing logged yet
-    "manager.evict.post_journal",  # evict logged, tier frees not yet done
+    "manager.evict.post_journal",  # evict synced, tier frees not yet done
     # StorageHardwareInterface
     "shi.write.pre_put",           # before handing a piece to the tier
     "shi.write.post_put",          # piece on the tier, before returning
@@ -47,12 +47,13 @@ CRASH_SITES = (
     # Journal internals
     "journal.pre_sync",            # records buffered, nothing on disk
     "journal.torn_sync",           # dies mid-write, leaving a torn tail
-    # LifecycleDaemon migration step
+    # LifecycleDaemon migration step (pre_copy) and the
+    # CompressionManager.relocate it calls (post_*)
     "lifecycle.pre_copy",          # victim scored, nothing moved yet
     "lifecycle.post_copy",         # re-encoded copies placed under new keys,
                                    # catalog/journal still point at the old
-    "lifecycle.post_journal",      # journal re-commit durable, before the
-                                   # in-memory catalog re-points
+    "lifecycle.post_journal",      # re-commit journaled and synced, before
+                                   # the in-memory catalog re-points
     "lifecycle.post_evict",        # old extents evicted, step not finished
     # Shard failover promotion (repro.shard.router.failover)
     "replication.pre_promote",     # standby chosen, nothing changed yet
@@ -62,12 +63,13 @@ CRASH_SITES = (
                                    # flipped, demotion not started
     "replication.post_demote",     # old primary recycled + standbys
                                    # reseeded, failover not yet reported
-    # Scrubber repair step (repro.scrub.scrubber)
+    # Scrubber repair step (pre_repair) and the
+    # CompressionManager.relocate it calls (post_*)
     "scrub.pre_repair",            # mismatch confirmed, nothing changed yet
     "scrub.post_copy",             # healed copy placed under a new key,
                                    # catalog/journal still point at the old
-    "scrub.post_journal",          # repair re-commit durable, before the
-                                   # in-memory catalog re-points
+    "scrub.post_journal",          # re-commit journaled and synced, before
+                                   # the in-memory catalog re-points
     "scrub.post_evict",            # rotten extents evicted, stats not final
 )
 

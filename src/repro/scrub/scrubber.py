@@ -22,10 +22,12 @@ On a mismatch it repairs in escalating order (docs/INTEGRITY.md):
    standby's shipped state).
 
 A blob healed from rung 2/3 is rewritten under a *new* generation key
-with the write path's WAL discipline — copy, idempotent journal
-re-point, evict — pinned by the swept ``scrub.pre_repair`` /
-``scrub.post_copy`` / ``scrub.post_journal`` / ``scrub.post_evict``
-crash sites, so a crash at any instant leaves exactly one readable copy.
+by the manager's relocation primitive,
+:meth:`~repro.core.manager.CompressionManager.relocate` — copy, journal
+re-point + sync barrier, evict — pinned by the swept ``scrub.pre_repair``
+(fired here) and ``scrub.post_copy`` / ``scrub.post_journal`` /
+``scrub.post_evict`` (fired by ``relocate``) crash sites, so a crash at
+any instant leaves exactly one readable copy.
 Only when every rung is exhausted is the piece quarantined: further
 reads fail fast with :class:`~repro.errors.IntegrityError` instead of
 burning retry budget on unhealable data.
@@ -36,8 +38,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from ..errors import CapacityError, TierError
-from ..lifecycle.daemon import LifecycleDaemon
+from ..errors import TierError
 from .config import ScrubConfig
 from .fsck import validate_entry
 
@@ -84,7 +85,7 @@ class Scrubber:
     ``None`` and stay byte-identical. Reads go through the public
     :class:`~repro.tiers.Tier` API (so injected faults apply to scrub
     traffic like any other) and placement mutates exclusively through
-    the manager's WAL-disciplined ``replace_task_entries``.
+    the manager's ``relocate``.
     """
 
     def __init__(self, engine, config: ScrubConfig) -> None:
@@ -210,7 +211,7 @@ class Scrubber:
             except TierError:
                 self.stats.failed += 1
                 continue  # transient read fault; next pass retries
-            if self._validate(entry, blob):
+            if validate_entry(entry, blob):
                 continue
             self.stats.corruptions += 1
             repair = self._repair(task_id, index, entry, tier, extent)
@@ -220,11 +221,6 @@ class Scrubber:
                 entries = manager.task_entries(task_id)
         self.stats.bytes_scanned += nbytes
         return repairs, nbytes
-
-    @staticmethod
-    def _validate(entry, blob: bytes) -> bool:
-        """Whether a blob matches its catalog entry end to end."""
-        return validate_entry(entry, blob)
 
     # -- the repair ladder ----------------------------------------------------
 
@@ -250,7 +246,7 @@ class Scrubber:
                 blob = tier.get(entry.key)
             except TierError:
                 continue
-            if self._validate(entry, blob):
+            if validate_entry(entry, blob):
                 self.stats.repairs += 1
                 self._step_seconds += seconds
                 manager.clear_quarantine(entry.key)
@@ -271,7 +267,7 @@ class Scrubber:
             except TierError:
                 continue
             seconds += other.io_seconds(len(blob))
-            if self._validate(entry, blob):
+            if validate_entry(entry, blob):
                 good, source = blob, "survivor"
                 break
 
@@ -279,7 +275,7 @@ class Scrubber:
         # source (a standby's shipped state, erasure reconstruction, ...).
         if good is None and manager.on_corrupt is not None:
             replacement = manager.on_corrupt(entry.key, b"")
-            if replacement is not None and self._validate(entry, replacement):
+            if replacement is not None and validate_entry(entry, replacement):
                 good, source = replacement, "hook"
 
         if good is None:
@@ -302,70 +298,36 @@ class Scrubber:
         self, task_id, index, entry, tier, good: bytes, source: str,
         seconds: float,
     ) -> Repair | None:
-        """Persist a healed blob under a new key with WAL discipline.
+        """Persist a healed blob under a new key through ``relocate``.
 
-        Copy -> journal re-point -> evict, exactly the lifecycle
-        migration choreography, so a crash at any of the ``scrub.*``
-        sites leaves each blob readable at exactly one place after
-        recovery's orphan sweep.
+        Prefer healing in place (same tier); fall back to any tier with
+        room — data safety outranks placement, and the lifecycle daemon
+        can re-tier the blob later. ``relocate`` evicts the rotten extent
+        and any stray same-key survivors the re-point orphans.
         """
-        # Imported here, not at module scope: core.config carries a
-        # ScrubConfig field, so a top-level import would be circular.
-        from ..core.manager import CatalogEntry
-
         engine = self.engine
         manager = engine.manager
-        crashpoints = engine.crashpoints
-        entries = manager.task_entries(task_id)
-        generation = LifecycleDaemon._next_generation(task_id, entries)
-        new_key = f"{task_id}/g{generation}/{index}"
-
-        # Prefer healing in place (same tier); fall back to any tier with
-        # room — data safety outranks placement, and the lifecycle daemon
-        # can re-tier the blob later.
-        target = None
-        for candidate in [tier] + [
-            t for t in engine.hierarchy if t is not tier
-        ]:
-            if candidate.available and candidate.fits(len(good)):
-                target = candidate
-                break
-        if target is None:
-            self.stats.failed += 1
-            self._step_seconds += seconds
-            return None
-        try:
-            target.put(new_key, good)
-        except (TierError, CapacityError):
+        target = next(
+            (t for t in [tier, *engine.hierarchy]
+             if t.available and t.fits(len(good))),
+            None,
+        )
+        entries = None
+        if target is not None:
+            move = (index, target, good, len(good), entry.codec, entry.crc32)
+            entries = manager.relocate(task_id, [move], "scrub")
+        if entries is None:
             self.stats.failed += 1
             self._step_seconds += seconds
             return None
         seconds += target.io_seconds(len(good))
-        if crashpoints is not None:
-            crashpoints.reached("scrub.post_copy")
-
-        new_entries = list(entries)
-        new_entries[index] = CatalogEntry(
-            new_key, entry.length, entry.codec, entry.crc32, entry.digest
-        )
-        manager.replace_task_entries(
-            task_id, new_entries, crash_site="scrub.post_journal"
-        )
-
-        # Release the rotten extent — and any stray same-key survivors,
-        # which the re-point just turned into orphans.
-        for holder in engine.hierarchy:
-            if entry.key in holder:
-                holder.evict(entry.key)
-        if crashpoints is not None:
-            crashpoints.reached("scrub.post_evict")
         manager.clear_quarantine(entry.key)
         self.stats.repairs += 1
         self.stats.rewrites += 1
         self._step_seconds += seconds
         return Repair(
-            task_id, entry.key, new_key, target.spec.name, source, "healed",
-            seconds,
+            task_id, entry.key, entries[index].key, target.spec.name, source,
+            "healed", seconds,
         )
 
     # -- status ---------------------------------------------------------------

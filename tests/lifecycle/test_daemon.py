@@ -305,12 +305,12 @@ class TestStatus:
         engine.close()
 
     def test_generation_keys_never_collide(self) -> None:
-        from repro.core.manager import CatalogEntry
+        from repro.core.manager import CatalogEntry, next_generation
 
         fresh = [CatalogEntry("t/0", 10, "lz4", None)]
-        assert LifecycleDaemon._next_generation("t", fresh) == 1
+        assert next_generation("t", fresh) == 1
         migrated = [CatalogEntry("t/g3/0", 10, "lzma", None)]
-        assert LifecycleDaemon._next_generation("t", migrated) == 4
+        assert next_generation("t", migrated) == 4
 
 
 class TestConfigValidation:
